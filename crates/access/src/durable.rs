@@ -231,8 +231,8 @@ pub struct DegradedProbe {
 fn quarantine_events(io: &IoContext) -> u64 {
     [&io.index, &io.data]
         .into_iter()
-        .filter_map(|dev| dev.file())
-        .map(|file| file.store().quarantine().event_count())
+        .filter_map(|dev| dev.store())
+        .map(|store| store.quarantine().event_count())
         .sum()
 }
 
@@ -307,12 +307,7 @@ impl<A: AccessMethod> DurableIndex<A> {
     /// to a fresh WAL on `log_device`. The genesis checkpoint (synced
     /// immediately) records `rel`'s current tuple count as the base
     /// the log's records extend.
-    pub fn new(
-        inner: A,
-        rel: &Relation,
-        log_device: impl Into<PageDevice>,
-        config: DurableConfig,
-    ) -> Self {
+    pub fn new(inner: A, rel: &Relation, log_device: PageDevice, config: DurableConfig) -> Self {
         let base_tuples = rel.heap().tuple_count();
         Self {
             inner,
@@ -341,7 +336,7 @@ impl<A: AccessMethod> DurableIndex<A> {
         mut inner: A,
         rel: &Relation,
         log_image: &[u8],
-        log_device: impl Into<PageDevice>,
+        log_device: PageDevice,
         config: DurableConfig,
     ) -> Result<(Self, RecoveryReport), RecoverError> {
         let (records, tail) = WalReader::drain(log_image);
@@ -495,8 +490,7 @@ impl<A: AccessMethod> DurableIndex<A> {
         let mut span = bftree_obs::span(bftree_obs::SpanKind::Repair);
         let mut report = RepairReport::default();
         for dev in [&io.index, &io.data] {
-            let Some(file) = dev.file() else { continue };
-            let store = file.store();
+            let Some(store) = dev.store() else { continue };
             for page in store.quarantine().pages() {
                 match store.repair_page(page, None) {
                     Ok(_) => report.pages_repaired += 1,
@@ -504,8 +498,7 @@ impl<A: AccessMethod> DurableIndex<A> {
                 }
             }
         }
-        if let Some(file) = self.wal.device().file() {
-            let store = file.store();
+        if let Some(store) = self.wal.device().store() {
             let image = self.wal.bytes();
             for page in store.quarantine().pages() {
                 let lo = (page as usize).saturating_mul(bftree_storage::PAGE_SIZE);
@@ -540,10 +533,10 @@ impl<A: AccessMethod> DurableIndex<A> {
         let events_before = quarantine_events(io);
         let probe = AccessMethod::probe(self, key, rel, io)?;
         let tripped = quarantine_events(io) > events_before;
-        let quarantined_matches = match io.data.file() {
+        let quarantined_matches = match io.data.store() {
             None => Vec::new(),
-            Some(file) => {
-                let q = file.store().quarantine();
+            Some(store) => {
+                let q = store.quarantine();
                 let mut pages: Vec<PageId> = probe
                     .matches
                     .iter()

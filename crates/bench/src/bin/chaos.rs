@@ -159,7 +159,7 @@ fn run_cell(
     // deterministic seeds, the cell's retry policy.
     let stores: Vec<Arc<FileStore>> = [&io.index, &io.data, index.wal().device()]
         .iter()
-        .filter_map(|d| d.file().map(|f| Arc::clone(f.store())))
+        .filter_map(|d| d.store().map(Arc::clone))
         .collect();
     assert_eq!(stores.len(), 3, "chaos requires the file backend");
     let injectors: Vec<Arc<FaultInjector>> = stores
@@ -385,12 +385,11 @@ fn run_sharded_chaos(
     let mut stores: Vec<Arc<FileStore>> = Vec::new();
     for (s, io) in ios.iter().enumerate() {
         for dev in [&io.index, &io.data] {
-            let file = dev.file().expect("chaos requires the file backend");
-            stores.push(Arc::clone(file.store()));
+            let store = dev.store().expect("chaos requires the file backend");
+            stores.push(Arc::clone(store));
         }
         stores.push(index.with_shard(s, |st| {
-            let file = st.wal().device().file().expect("file-backed WAL");
-            Arc::clone(file.store())
+            Arc::clone(st.wal().device().store().expect("file-backed WAL"))
         }));
     }
     let injectors: Vec<Arc<FaultInjector>> = stores

@@ -247,7 +247,7 @@ mod tests {
         let s = StorageArgs::parse(Vec::new());
         assert!(!s.is_file());
         assert_eq!(s.label(), "sim");
-        assert!(s.io_cold(StorageConfig::SsdSsd).index.file().is_none());
+        assert!(s.io_cold(StorageConfig::SsdSsd).index.store().is_none());
     }
 
     #[test]
@@ -338,15 +338,15 @@ mod tests {
         let s = StorageArgs::parse(vec!["--storage=file".to_string()]);
         let a = s.io_cold(StorageConfig::SsdSsd);
         let b = s.io_cold(StorageConfig::SsdSsd);
-        let store_a = a.data.file().expect("file-backed").store();
-        let store_b = b.data.file().expect("file-backed").store();
+        let store_a = a.data.store().expect("file-backed");
+        let store_b = b.data.store().expect("file-backed");
         assert_ne!(store_a.path(), store_b.path(), "fresh files per context");
         a.data.read_random(1);
         assert_eq!(store_a.wall().reads, 1);
         assert_eq!(store_b.wall().reads, 0);
-        assert!(s.log_device(DeviceKind::Ssd).file().is_some());
+        assert!(s.log_device(DeviceKind::Ssd).store().is_some());
         assert!(
-            s.log_device(DeviceKind::Memory).file().is_none(),
+            s.log_device(DeviceKind::Memory).store().is_none(),
             "memory devices stay simulated"
         );
     }

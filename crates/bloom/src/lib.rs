@@ -16,10 +16,6 @@
 //!   probing (Putze et al.): the first hash picks one 512-bit block
 //!   and the remaining probes stay inside it, trading a little
 //!   accuracy ([`math::blocked_fpp`]) for one cache miss per test.
-//! * [`CountingBloomFilter`] and [`DeletableBloomFilter`] — the
-//!   delete-capable variants the paper's Section 7 points at (\[7\], \[39\]).
-//! * [`ScalableBloomFilter`] — Almeida et al.'s scalable Bloom filter
-//!   \[2\], referenced in Section 2.
 //!
 //! All filters are deterministic: the same seed and the same inserts
 //! produce bit-identical filters, which the storage layer relies on
@@ -28,17 +24,11 @@
 #![warn(missing_docs)]
 
 pub mod blocked;
-pub mod counting;
-pub mod deletable;
 pub mod filter;
 pub mod group;
 pub mod hash;
 pub mod math;
-pub mod scalable;
 
 pub use blocked::{BlockedBloomFilter, FilterLayout, BLOCK_BITS};
-pub use counting::CountingBloomFilter;
-pub use deletable::DeletableBloomFilter;
 pub use filter::BloomFilter;
 pub use group::BloomGroup;
-pub use scalable::ScalableBloomFilter;

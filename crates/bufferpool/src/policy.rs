@@ -5,8 +5,8 @@
 //! shard); residency, byte accounting, and pin counts stay in the
 //! shard. Three classic disciplines are provided:
 //!
-//! * [`Lru`] — strict least-recently-used, the discipline of the old
-//!   per-device `BufferPool`.
+//! * [`Lru`] — strict least-recently-used; one shard of it is the
+//!   per-device warm cache of the paper's §6.2 experiments.
 //! * [`Clock`] — second-chance FIFO: a reference bit per slot buys each
 //!   re-referenced page one extra trip around the ring.
 //! * [`TwoQ`] — the *simplified* 2Q of Johnson & Shasha (VLDB '94): a

@@ -325,11 +325,18 @@ fn fixed_k3_matches_paper_prototype_behaviour() {
 
 #[test]
 fn warm_index_cache_absorbs_internal_reads() {
-    use bftree_storage::{CacheMode, DeviceProfile};
+    use bftree_storage::{BufferManager, DeviceProfile, PolicyKind, PAGE_SIZE};
+    use std::sync::Arc;
     let rel = pk_relation(100_000, 11);
     let t = BfTree::builder().fpp(1e-4).build(&rel).unwrap();
+    let cache = Arc::new(BufferManager::with_shards(
+        (1 << 20) * PAGE_SIZE as u64,
+        PolicyKind::Lru,
+        1,
+    ));
+    let pool = cache.register_pool("index");
     let io = IoContext::new(
-        PageDevice::new(DeviceProfile::ssd(), CacheMode::Lru(1 << 20)),
+        PageDevice::new(DeviceProfile::ssd(), Some((cache, pool)), None),
         PageDevice::cold(DeviceKind::Memory),
     );
     io.prewarm_index(t.upper_page_ids());

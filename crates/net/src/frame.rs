@@ -16,8 +16,15 @@ pub const MAX_FRAME: usize = 16 << 20;
 
 /// Write one frame (header + payload) to `w`. Flushing is the
 /// caller's business — pipelined clients batch many frames per flush.
+/// A payload over [`MAX_FRAME`] is refused with
+/// [`std::io::ErrorKind::InvalidInput`] before any byte is written.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    assert!(payload.len() <= MAX_FRAME, "frame payload too large");
+    if payload.len() > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "frame payload exceeds MAX_FRAME",
+        ));
+    }
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(&crc32(payload).to_le_bytes())?;
     w.write_all(payload)
@@ -87,6 +94,12 @@ mod tests {
             read_frame(&mut buf.as_slice()),
             Err(NetError::Frame { .. })
         ));
+
+        // Oversized payloads are refused without writing anything.
+        let mut out = Vec::new();
+        let err = write_frame(&mut out, &vec![0u8; MAX_FRAME + 1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(out.is_empty());
 
         // Absurd length field.
         let mut huge = Vec::new();

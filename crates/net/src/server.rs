@@ -18,7 +18,7 @@ use bftree_obs::{span, MetricsRegistry, SpanKind};
 use bftree_shard::{ShardedContinuation, ShardedIndex};
 use bftree_storage::{IoContext, Relation};
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_frame, write_frame, MAX_FRAME};
 use crate::proto::{RemoteError, Request, Response, StatsReply};
 use crate::NetError;
 
@@ -257,7 +257,8 @@ impl Drop for Server {
 /// One connection's request loop: frames in, frames out, until the
 /// peer hangs up or a frame fails to parse (on which the connection is
 /// dropped — a framing error means we have lost byte sync and cannot
-/// safely answer).
+/// safely answer). A reply too large for one frame is answered with a
+/// typed error instead, and the connection stays open.
 fn serve_connection(state: &ServeState, stream: TcpStream) -> Result<(), NetError> {
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -270,7 +271,17 @@ fn serve_connection(state: &ServeState, stream: TcpStream) -> Result<(), NetErro
             }),
             Err(e) => return Err(e),
         };
-        write_frame(&mut writer, &resp.encode())?;
+        let mut reply = resp.encode();
+        if reply.len() > MAX_FRAME {
+            reply = Response::Error(RemoteError::Internal {
+                detail: format!(
+                    "reply of {} bytes exceeds the {MAX_FRAME}-byte frame limit",
+                    reply.len()
+                ),
+            })
+            .encode();
+        }
+        write_frame(&mut writer, &reply)?;
         // Flush only when no further request is already buffered, so a
         // pipelined burst gets one coalesced reply write.
         if reader.buffer().is_empty() {

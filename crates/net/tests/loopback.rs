@@ -185,3 +185,53 @@ fn stats_reports_the_layout_and_serving_metrics() {
     );
     server.shutdown();
 }
+
+/// A valid `PROBE_BATCH` whose reply would not fit in one frame comes
+/// back as a typed error, and the same connection keeps answering.
+#[test]
+fn oversized_reply_is_a_typed_error_and_the_connection_survives() {
+    // Every tuple carries key 5, so each probe of 5 answers `DUPS`
+    // locations (16 bytes each on the wire).
+    const DUPS: u64 = 8_000;
+    let mut heap = HeapFile::new(TupleLayout::new(128));
+    for i in 0..DUPS {
+        heap.append_record(5, i);
+    }
+    let rel = Relation::new(heap, PK_OFFSET, Duplicates::Contiguous).expect("layout");
+    let mut index = ShardedIndex::new(
+        ShardPlan::uniform(16, 1),
+        &rel,
+        DurableConfig::default(),
+        |_| Box::new(BfTree::builder().empty(&rel).expect("valid config")),
+        |_| PageDevice::cold(DeviceKind::Ssd),
+    );
+    index.build(&rel).expect("sharded build");
+    let state = ServeState::new(index, rel, vec![IoContext::unmetered()]);
+    let mut server = Server::spawn(state).expect("server up");
+    let addr = server.addr();
+
+    // The client has no read timeout: run it on its own thread so a
+    // server that never answers fails the test instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        let keys = vec![5u64; bftree_net::MAX_FRAME / (16 * DUPS as usize) + 1];
+        let oversized = client.probe_batch(&keys);
+        let next = client.probe_batch(&[5, 6]);
+        let _ = tx.send((oversized, next));
+    });
+    let (oversized, next) = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the server answered both requests");
+    client.join().expect("client thread");
+    match oversized {
+        Err(NetError::Remote(RemoteError::Internal { detail })) => {
+            assert!(detail.contains("frame limit"), "{detail}")
+        }
+        other => panic!("expected a typed oversized-reply error, got {other:?}"),
+    }
+    let answers = next.expect("connection still serves");
+    assert_eq!(answers[0].len(), DUPS as usize);
+    assert!(answers[1].is_empty());
+    server.shutdown();
+}

@@ -1,134 +1,146 @@
-//! [`PageDevice`]: the pluggable device front the rest of the stack
-//! charges page accesses to.
+//! [`PageDevice`]: the one device type the rest of the stack charges
+//! page accesses to, and [`Backend`], the `--storage=sim|file`
+//! selector that builds devices.
 //!
-//! Two implementations sit behind one enum:
+//! A device is a latency model ([`DeviceProfile`]) and shared
+//! counters ([`IoStats`]), plus two optional parts:
 //!
-//! * [`SimDevice`] — the analytic cost model every paper experiment
-//!   runs on. Semantics (and the bit-identical `IoStats` the tests
-//!   pin) are untouched.
-//! * [`FileDevice`] — the same simulated accounting **plus** real
-//!   byte-hitting I/O against a [`FileStore`]. The inner `SimDevice`
-//!   stays the single source of truth for counters and cache
-//!   decisions; the file is touched exactly when the simulator says
-//!   the access reached the device. That makes cold-device operation
-//!   counts identical across backends *by construction* — the
-//!   property the backend-conformance suite asserts.
+//! * a **cache** — one pool of a [`BufferManager`]. Re-reads it
+//!   absorbs cost a memory access and never reach the device. A pool
+//!   of a one-shard LRU manager is the per-device warm cache of the
+//!   paper's §6.2 sweeps; pools of one shared manager compete for a
+//!   single byte budget ([`crate::IoContext::with_shared_budget`]).
+//! * a **store** — a [`FileStore`] that mirrors every access reaching
+//!   the device with real, checksum-verified file I/O.
 //!
-//! An enum (not a trait object) keeps the hot probe path a
-//! predictable branch instead of a virtual call; the probe-pipeline
-//! bench pins wall-clock speedups that a vtable would erode.
+//! Every access is charged to the simulator first; the store is
+//! touched exactly when the simulator says the access reached the
+//! device. Operation counts and simulated time are therefore the same
+//! with and without a store *by construction* — the property the
+//! backend-conformance suite asserts.
 //!
-//! [`Backend`] is the user-facing selector (`--storage=sim|file`)
-//! that materializes devices for either world.
+//! # Concurrency
+//!
+//! A `PageDevice` (and its clones, which share state) may be charged
+//! from many threads at once. A device with neither cache nor store —
+//! the default of every paper experiment — takes no lock: each access
+//! lands in the calling thread's counter shard (see [`IoStats`]) and
+//! totals are exact under any interleaving. A cache takes its
+//! manager's per-shard lock; a store serializes on its file.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use bftree_bufferpool::{BufferManager, PoolId};
+use bftree_bufferpool::{Access, BufferManager, PoolId};
 
 use crate::device::{DeviceKind, DeviceProfile};
 use crate::file::{DeviceError, FileStore, IoOutcome, SyncPolicy, WallSnapshot};
-use crate::io::IoSnapshot;
-use crate::page::PageId;
-use crate::sim::{CacheMode, SimDevice};
+use crate::io::{IoSnapshot, IoStats};
+use crate::page::{PageId, PAGE_SIZE};
 
-/// A device whose charges also hit a real file: an inner [`SimDevice`]
-/// makes every accounting and caching decision, and each access the
-/// simulator reports as reaching the device triggers a verified read
-/// (or a checksummed write) against the shared [`FileStore`].
+/// A storage device: latency profile + stats + optional cache pool +
+/// optional backing file.
 ///
-/// Cloning is cheap and shares the stats, the cache, and the store.
+/// Cloning is cheap and shares the stats, the cache and the store.
 #[derive(Debug, Clone)]
-pub struct FileDevice {
-    sim: SimDevice,
-    store: Arc<FileStore>,
+pub struct PageDevice {
+    profile: DeviceProfile,
+    stats: Arc<IoStats>,
+    cache: Option<(Arc<BufferManager>, PoolId)>,
+    store: Option<Arc<FileStore>>,
 }
 
-impl FileDevice {
-    /// A cold file-backed device of the given kind.
-    pub fn cold(kind: DeviceKind, store: Arc<FileStore>) -> Self {
-        Self::wire(SimDevice::cold(kind), store)
+impl PageDevice {
+    /// A cold simulated device of the given kind.
+    pub fn cold(kind: DeviceKind) -> Self {
+        Self::new(DeviceProfile::of(kind), None, None)
     }
 
-    /// A file-backed device with an explicit profile and cache mode.
-    pub fn new(profile: DeviceProfile, cache: CacheMode, store: Arc<FileStore>) -> Self {
-        Self::wire(SimDevice::new(profile, cache), store)
-    }
-
-    /// A file-backed device whose re-reads are absorbed by `pool` of
-    /// the shared `manager` (see [`SimDevice::with_shared_cache`]).
-    /// Cache hits never touch the file — only device-reaching misses
-    /// do.
-    pub fn with_shared_cache(
+    /// A device with fresh counters. `cache` names the pool of a
+    /// [`BufferManager`] that absorbs re-reads (pages are charged at
+    /// [`PAGE_SIZE`] bytes); `store` is the file every device-reaching
+    /// access is mirrored onto.
+    pub fn new(
         profile: DeviceProfile,
-        manager: Arc<BufferManager>,
-        pool: PoolId,
-        store: Arc<FileStore>,
+        cache: Option<(Arc<BufferManager>, PoolId)>,
+        store: Option<Arc<FileStore>>,
     ) -> Self {
-        Self::wire(SimDevice::with_shared_cache(profile, manager, pool), store)
+        Self {
+            profile,
+            stats: Arc::new(IoStats::new()),
+            cache,
+            store,
+        }
     }
 
-    /// Couple the simulator's cache to the store's quarantine: a
-    /// quarantined page is never served from (or admitted to) the
-    /// cache, so every access re-verifies it against the file until
-    /// repaired.
-    fn wire(mut sim: SimDevice, store: Arc<FileStore>) -> Self {
-        sim.set_quarantine(Arc::clone(store.quarantine()));
-        Self { sim, store }
+    /// The device's latency profile.
+    pub fn profile(&self) -> DeviceProfile {
+        self.profile
     }
 
-    /// The inner simulated device (counters, cache, profile).
-    pub fn sim(&self) -> &SimDevice {
-        &self.sim
+    /// The device medium.
+    pub fn kind(&self) -> DeviceKind {
+        self.profile.kind
     }
 
-    /// The backing page store.
-    pub fn store(&self) -> &Arc<FileStore> {
-        &self.store
+    /// The backing page store, when this device is file-backed.
+    pub fn store(&self) -> Option<&Arc<FileStore>> {
+        self.store.as_ref()
     }
 
-    /// Charge a random read; if it reaches the device, perform a
-    /// verified file read (materializing the page on first access).
-    /// A read that uncovers corruption quarantines the page and drops
-    /// any cached copy, so later reads keep hitting the (corrupt)
-    /// device image until a repair lands.
+    /// The buffer manager and pool this device's cache lives in, if
+    /// any.
+    pub fn shared_cache(&self) -> Option<(&Arc<BufferManager>, PoolId)> {
+        self.cache.as_ref().map(|(manager, pool)| (manager, *pool))
+    }
+
+    /// Charge a randomly-located read of `page`. A read that reaches
+    /// the device and has a store performs a verified file read
+    /// (materializing the page on first access).
     #[inline]
     pub fn read_random(&self, page: PageId) {
-        if self.sim.read_random(page) {
-            self.settle_read(page, self.store.charged_read(page));
+        if !self.cache_absorbs(page) {
+            self.stats
+                .record_random_read(self.profile.random_read_ns, PAGE_SIZE as u64);
+            self.read_store(page);
         }
     }
 
-    /// Apply a charged read's outcome to the cache: a quarantined page
-    /// must not stay resident (the cached copy would mask the fault
-    /// from the repair path).
-    #[inline]
-    fn settle_read(&self, page: PageId, outcome: IoOutcome) {
-        if outcome != IoOutcome::Ok {
-            self.sim.invalidate(page);
-        }
-    }
-
-    /// Charge a set of random reads (totals identical to per-page
-    /// [`FileDevice::read_random`]; the file sees one read per page).
+    /// Charge a set of randomly-located reads at once. On a device
+    /// with neither cache nor store (nothing to do per page) the whole
+    /// set lands in one counter operation; otherwise each page is
+    /// charged on its own so hit accounting and file reads stay exact.
+    /// Totals always equal charging each page with
+    /// [`PageDevice::read_random`].
     pub fn read_random_many(&self, pages: impl ExactSizeIterator<Item = PageId>) {
-        for page in pages {
-            self.read_random(page);
+        if self.cache.is_none() && self.store.is_none() {
+            self.stats.record_random_reads(
+                pages.len() as u64,
+                self.profile.random_read_ns,
+                PAGE_SIZE as u64,
+            );
+        } else {
+            for page in pages {
+                self.read_random(page);
+            }
         }
     }
 
-    /// Charge a sequential read; device-reaching accesses hit the
-    /// file.
+    /// Charge the next page of a sequential run.
     #[inline]
     pub fn read_seq(&self, page: PageId) {
-        if self.sim.read_seq(page) {
-            self.settle_read(page, self.store.charged_read(page));
+        if !self.cache_absorbs(page) {
+            self.stats
+                .record_seq_read(self.profile.seq_read_ns, PAGE_SIZE as u64);
+            self.read_store(page);
         }
     }
 
-    /// Charge a sorted batch with the same adjacency rule as
-    /// [`SimDevice::read_sorted_batch`]: first page random, adjacent
-    /// successors sequential, duplicates free.
+    /// Charge a batch of page reads given as a sorted list: the first
+    /// page is random, each subsequent page is sequential if adjacent
+    /// to its predecessor, random otherwise. This models the paper's
+    /// "list of sorted disk accesses" handed to the controller
+    /// (Equation 13's seqDtIO term for false-positive pages).
     pub fn read_sorted_batch(&self, pages: &[PageId]) {
         let mut prev: Option<PageId> = None;
         for &p in pages {
@@ -141,252 +153,163 @@ impl FileDevice {
         }
     }
 
-    /// Charge a page write and stamp a fresh checksummed image into
-    /// the store. A write that fails even after retries drops the
-    /// page's cached copy — memory must never claim bytes the device
-    /// refused.
+    /// Charge a page write; a store stamps a fresh checksummed image.
+    /// The device write is always charged (write-through); a cache
+    /// installs (or refreshes) the written page, so a read-after-write
+    /// is a hit. Installation never books a cache hit (nothing was
+    /// served from memory), but admissions that displace pages record
+    /// their evictions. A store write that fails even after retries
+    /// drops the cached copy — memory must never claim bytes the
+    /// device refused.
     #[inline]
     pub fn write(&self, page: PageId) {
-        self.sim.write(page);
-        if self.store.charged_write(page) != IoOutcome::Ok {
-            self.sim.invalidate(page);
+        self.charge_write(page);
+        if let Some(store) = &self.store {
+            if store.charged_write(page) != IoOutcome::Ok {
+                self.invalidate(page);
+            }
         }
     }
 
-    /// Charge a page write carrying real bytes (the WAL's path): the
-    /// simulator books the same write it always did; the store
-    /// persists `bytes` as the page's payload, retrying transient
-    /// faults per the store's [`RetryPolicy`]. Returns whether the
+    /// Charge a page write carrying real bytes (the WAL's path). The
+    /// simulated cost and counters are exactly those of
+    /// [`PageDevice::write`]; a store persists `bytes` as the page's
+    /// payload, retrying transient faults per its
+    /// [`RetryPolicy`](crate::fault::RetryPolicy). Returns whether the
     /// bytes landed — `false` means the caller must not acknowledge
-    /// anything depending on them (the store's fault counters record
-    /// the escalation).
-    ///
-    /// [`RetryPolicy`]: crate::fault::RetryPolicy
+    /// anything depending on them. A device without a store loses
+    /// nothing by construction and always returns `true`.
     pub fn write_bytes(&self, page: PageId, bytes: &[u8]) -> bool {
-        self.sim.write(page);
-        match self.store.write_page_verified(page, bytes) {
-            Ok(_) => true,
-            Err(_) => {
-                self.sim.invalidate(page);
-                false
-            }
+        self.charge_write(page);
+        let Some(store) = &self.store else {
+            return true;
+        };
+        let landed = store.write_page_verified(page, bytes).is_ok();
+        if !landed {
+            self.invalidate(page);
         }
+        landed
     }
 
-    /// Charge a durability barrier; the store's [`SyncPolicy`] decides
-    /// whether a real `fdatasync` is issued. Returns whether the
-    /// barrier (if issued) succeeded — on `false` the dirty window
-    /// stays pending and the next successful barrier covers it, so
-    /// callers withhold acknowledgements rather than panic.
-    #[inline]
-    pub fn fsync(&self) -> bool {
-        self.sim.fsync();
-        self.store.sync_verified().is_ok()
-    }
-
-    /// Wall-clock counters of the backing store.
-    pub fn wall(&self) -> WallSnapshot {
-        self.store.wall()
-    }
-}
-
-/// The pluggable device: every layer above storage charges one of
-/// these. `Sim` is the analytic model; `File` additionally performs
-/// real verified I/O. Cloning is cheap and shares all state.
-#[derive(Debug, Clone)]
-pub enum PageDevice {
-    /// Purely simulated (the default everywhere).
-    Sim(SimDevice),
-    /// Simulated accounting + real file I/O.
-    File(FileDevice),
-}
-
-impl From<SimDevice> for PageDevice {
-    fn from(dev: SimDevice) -> Self {
-        PageDevice::Sim(dev)
-    }
-}
-
-impl From<FileDevice> for PageDevice {
-    fn from(dev: FileDevice) -> Self {
-        PageDevice::File(dev)
-    }
-}
-
-impl PageDevice {
-    /// A cold simulated device of the given kind.
-    pub fn cold(kind: DeviceKind) -> Self {
-        PageDevice::Sim(SimDevice::cold(kind))
-    }
-
-    /// A simulated device with an explicit profile and cache mode.
-    pub fn new(profile: DeviceProfile, cache: CacheMode) -> Self {
-        PageDevice::Sim(SimDevice::new(profile, cache))
-    }
-
-    /// A simulated device charging a pool of a shared
-    /// [`BufferManager`] (see [`SimDevice::with_shared_cache`]).
-    pub fn with_shared_cache(
-        profile: DeviceProfile,
-        manager: Arc<BufferManager>,
-        pool: PoolId,
-    ) -> Self {
-        PageDevice::Sim(SimDevice::with_shared_cache(profile, manager, pool))
-    }
-
-    /// The inner simulated device (both variants have one).
-    pub fn sim(&self) -> &SimDevice {
-        match self {
-            PageDevice::Sim(dev) => dev,
-            PageDevice::File(dev) => dev.sim(),
-        }
-    }
-
-    /// The file-backed device, when this is one.
-    pub fn file(&self) -> Option<&FileDevice> {
-        match self {
-            PageDevice::Sim(_) => None,
-            PageDevice::File(dev) => Some(dev),
-        }
-    }
-
-    /// Short backend name (`"sim"` / `"file"`).
-    pub fn backend_label(&self) -> &'static str {
-        match self {
-            PageDevice::Sim(_) => "sim",
-            PageDevice::File(_) => "file",
-        }
-    }
-
-    /// The device's latency profile.
-    pub fn profile(&self) -> DeviceProfile {
-        self.sim().profile()
-    }
-
-    /// The device medium.
-    pub fn kind(&self) -> DeviceKind {
-        self.sim().kind()
-    }
-
-    /// Charge a randomly-located read of `page`.
-    #[inline]
-    pub fn read_random(&self, page: PageId) {
-        match self {
-            PageDevice::Sim(dev) => {
-                dev.read_random(page);
-            }
-            PageDevice::File(dev) => dev.read_random(page),
-        }
-    }
-
-    /// Charge a set of randomly-located reads at once (see
-    /// [`SimDevice::read_random_many`]).
-    pub fn read_random_many(&self, pages: impl ExactSizeIterator<Item = PageId>) {
-        match self {
-            PageDevice::Sim(dev) => dev.read_random_many(pages),
-            PageDevice::File(dev) => dev.read_random_many(pages),
-        }
-    }
-
-    /// Charge the next page of a sequential run.
-    #[inline]
-    pub fn read_seq(&self, page: PageId) {
-        match self {
-            PageDevice::Sim(dev) => {
-                dev.read_seq(page);
-            }
-            PageDevice::File(dev) => dev.read_seq(page),
-        }
-    }
-
-    /// Charge a sorted batch of page reads (see
-    /// [`SimDevice::read_sorted_batch`]).
-    pub fn read_sorted_batch(&self, pages: &[PageId]) {
-        match self {
-            PageDevice::Sim(dev) => dev.read_sorted_batch(pages),
-            PageDevice::File(dev) => dev.read_sorted_batch(pages),
-        }
-    }
-
-    /// Charge a page write.
-    #[inline]
-    pub fn write(&self, page: PageId) {
-        match self {
-            PageDevice::Sim(dev) => dev.write(page),
-            PageDevice::File(dev) => dev.write(page),
-        }
-    }
-
-    /// Charge a page write carrying real bytes. The simulated cost and
-    /// counters are exactly those of [`PageDevice::write`]; only a
-    /// file backend persists the bytes. Returns whether the bytes are
-    /// safely down (always `true` on a simulated device, which loses
-    /// nothing by construction).
-    pub fn write_bytes(&self, page: PageId, bytes: &[u8]) -> bool {
-        match self {
-            PageDevice::Sim(dev) => {
-                dev.write(page);
-                true
-            }
-            PageDevice::File(dev) => dev.write_bytes(page, bytes),
-        }
-    }
-
-    /// Charge a durability barrier (see [`SimDevice::fsync`]). Returns
-    /// whether the barrier succeeded (always `true` on a simulated
-    /// device; see [`FileDevice::fsync`] for the file backend's
-    /// failed-barrier semantics).
+    /// Charge a durability barrier: the device drains its volatile
+    /// write cache and acknowledges every preceding write — what a
+    /// write-ahead log pays per commit (see `DeviceProfile::fsync_ns`).
+    /// A store's [`SyncPolicy`] decides whether a real `fdatasync` is
+    /// issued. Returns whether the barrier succeeded; on `false` the
+    /// dirty window stays pending and the next successful barrier
+    /// covers it, so callers withhold acknowledgements rather than
+    /// panic.
     #[inline]
     pub fn fsync(&self) -> bool {
         let _span = bftree_obs::span(bftree_obs::SpanKind::Fsync);
-        match self {
-            PageDevice::Sim(dev) => {
-                dev.fsync();
-                true
-            }
-            PageDevice::File(dev) => dev.fsync(),
+        self.stats.record_fsync(self.profile.fsync_ns);
+        self.store
+            .as_ref()
+            .is_none_or(|s| s.sync_verified().is_ok())
+    }
+
+    /// Pre-load `pages` into the cache (warm-up) without charging —
+    /// and without touching any file.
+    pub fn prewarm<I: IntoIterator<Item = PageId>>(&self, pages: I) {
+        if let Some((manager, pool)) = &self.cache {
+            manager.prewarm(*pool, pages, PAGE_SIZE as u64);
         }
     }
 
-    /// Pre-load `pages` into the pool (warm-up) without charging —
-    /// and without touching any file.
-    pub fn prewarm<I: IntoIterator<Item = PageId>>(&self, pages: I) {
-        self.sim().prewarm(pages);
-    }
-
-    /// Snapshot of the accumulated simulated statistics.
+    /// Snapshot of the accumulated simulated statistics (all shards
+    /// merged).
     pub fn snapshot(&self) -> IoSnapshot {
-        self.sim().snapshot()
+        self.stats.snapshot()
     }
 
     /// Wall-clock counters, when this device is file-backed.
     pub fn wall(&self) -> Option<WallSnapshot> {
-        self.file().map(|dev| dev.wall())
+        self.store.as_ref().map(|s| s.wall())
     }
 
-    /// Reset simulated statistics (keeps cache contents and file
-    /// contents).
+    /// Reset simulated statistics (keeps cache and file contents).
     pub fn reset_stats(&self) {
-        self.sim().reset_stats();
+        self.stats.reset();
     }
 
-    /// Drop all cached pages of this device.
+    /// Drop this device's cached pages (other pools of a shared
+    /// manager keep their residency).
     pub fn drop_caches(&self) {
-        self.sim().drop_caches();
-    }
-
-    /// Whether charging this device takes no lock. File-backed
-    /// devices always serialize on the store's mutex.
-    pub fn is_lock_free(&self) -> bool {
-        match self {
-            PageDevice::Sim(dev) => dev.is_lock_free(),
-            PageDevice::File(_) => false,
+        if let Some((manager, pool)) = &self.cache {
+            manager.evict_pool(*pool);
         }
     }
 
-    /// The shared buffer manager this device charges, if any.
-    pub fn shared_cache(&self) -> Option<(&Arc<BufferManager>, PoolId)> {
-        self.sim().shared_cache()
+    /// Pages in the store's quarantine are barred from the cache:
+    /// serving a known-corrupt page from memory would mask the fault
+    /// from its repair path, so every access re-verifies it against
+    /// the file until repaired.
+    #[inline]
+    fn quarantined(&self, page: PageId) -> bool {
+        self.store
+            .as_ref()
+            .is_some_and(|s| s.quarantine().contains(page))
+    }
+
+    /// Drop `page` from the cache if resident; returns whether a
+    /// cached copy was dropped.
+    fn invalidate(&self, page: PageId) -> bool {
+        self.cache
+            .as_ref()
+            .is_some_and(|(manager, pool)| manager.invalidate(*pool, page))
+    }
+
+    /// The file half of a device-reaching read. A read that uncovers
+    /// corruption quarantines the page (inside the store) and drops
+    /// any cached copy, so later reads keep hitting the device image
+    /// until a repair lands.
+    #[inline]
+    fn read_store(&self, page: PageId) {
+        if let Some(store) = &self.store {
+            if store.charged_read(page) != IoOutcome::Ok {
+                self.invalidate(page);
+            }
+        }
+    }
+
+    /// The simulated half of a write: charge it, then install the page
+    /// into the cache unless it is quarantined.
+    #[inline]
+    fn charge_write(&self, page: PageId) {
+        self.stats
+            .record_write(self.profile.write_ns, PAGE_SIZE as u64);
+        if self.quarantined(page) {
+            return;
+        }
+        if let Some((manager, pool)) = &self.cache {
+            if let Access::Miss { evicted } = manager.touch(*pool, page, PAGE_SIZE as u64) {
+                self.stats.record_cache_evictions(evicted.len() as u64);
+            }
+        }
+    }
+
+    /// Look `page` up in the cache; returns whether the read was
+    /// absorbed (a hit, charged at memory speed). A quarantined page
+    /// is never served or admitted.
+    #[inline]
+    fn cache_absorbs(&self, page: PageId) -> bool {
+        let Some((manager, pool)) = &self.cache else {
+            return false;
+        };
+        if self.quarantined(page) {
+            return false;
+        }
+        match manager.touch(*pool, page, PAGE_SIZE as u64) {
+            Access::Hit => {
+                self.stats
+                    .record_cache_hit(DeviceProfile::memory().random_read_ns);
+                true
+            }
+            Access::Miss { evicted } => {
+                self.stats.record_cache_evictions(evicted.len() as u64);
+                false
+            }
+        }
     }
 }
 
@@ -441,13 +364,28 @@ impl Backend {
     /// A cold device of the given kind named `name` (the name keys the
     /// backing store file). Memory-kind devices are always simulated.
     pub fn device(&self, kind: DeviceKind, name: &str) -> Result<PageDevice, DeviceError> {
+        self.cached_device(kind, name, None)
+    }
+
+    /// [`Backend::device`] whose re-reads are absorbed by a fresh pool
+    /// of `manager` (registered under `name`). Memory-kind devices
+    /// stay uncached and simulated: a memory device *is* the buffer,
+    /// and caching it would double-count the budget.
+    pub(crate) fn cached_device(
+        &self,
+        kind: DeviceKind,
+        name: &str,
+        manager: Option<&Arc<BufferManager>>,
+    ) -> Result<PageDevice, DeviceError> {
         if kind == DeviceKind::Memory {
             return Ok(PageDevice::cold(kind));
         }
-        Ok(match self.store_for(name)? {
-            None => PageDevice::cold(kind),
-            Some(store) => PageDevice::File(FileDevice::cold(kind, store)),
-        })
+        let cache = manager.map(|m| (Arc::clone(m), m.register_pool(name)));
+        Ok(PageDevice::new(
+            DeviceProfile::of(kind),
+            cache,
+            self.store_for(name)?,
+        ))
     }
 }
 
@@ -455,21 +393,226 @@ impl Backend {
 mod tests {
     use super::*;
     use crate::file::ScratchDir;
+    use bftree_bufferpool::PolicyKind;
 
-    fn file_dev(kind: DeviceKind, dir: &ScratchDir, name: &str) -> FileDevice {
-        let store = FileStore::create(
-            dir.path().join(format!("{name}.bfs")),
-            SyncPolicy::PerRequest,
-        )
-        .expect("create store");
-        FileDevice::cold(kind, Arc::new(store))
+    /// A device behind a private one-shard LRU of `pages` pages, with
+    /// an optional store.
+    fn lru_device(pages: u64, store: Option<Arc<FileStore>>) -> PageDevice {
+        let manager = Arc::new(BufferManager::with_shards(
+            pages * PAGE_SIZE as u64,
+            PolicyKind::Lru,
+            1,
+        ));
+        let pool = manager.register_pool("dev");
+        PageDevice::new(DeviceProfile::ssd(), Some((manager, pool)), store)
+    }
+
+    fn store(dir: &ScratchDir, name: &str) -> Arc<FileStore> {
+        let path = dir.path().join(format!("{name}.bfs"));
+        Arc::new(FileStore::create(path, SyncPolicy::PerRequest).expect("create store"))
+    }
+
+    fn file_dev(kind: DeviceKind, dir: &ScratchDir, name: &str) -> PageDevice {
+        PageDevice::new(DeviceProfile::of(kind), None, Some(store(dir, name)))
+    }
+
+    #[test]
+    fn cold_device_charges_every_read() {
+        let dev = PageDevice::cold(DeviceKind::Ssd);
+        dev.read_random(1);
+        dev.read_random(1);
+        let s = dev.snapshot();
+        assert_eq!(s.random_reads, 2);
+        assert_eq!(s.bytes_read, 2 * PAGE_SIZE as u64);
+        assert_eq!(s.sim_ns, 2 * DeviceProfile::ssd().random_read_ns);
+    }
+
+    #[test]
+    fn lru_device_absorbs_rereads() {
+        let dev = lru_device(16, None);
+        dev.read_random(1);
+        dev.read_random(1);
+        dev.read_random(2);
+        dev.read_seq(3);
+        dev.read_seq(3);
+        let s = dev.snapshot();
+        assert_eq!(s.random_reads, 2);
+        assert_eq!(s.seq_reads, 1);
+        assert_eq!(s.cache_hits, 2);
+        assert_eq!(s.bytes_read, 3 * PAGE_SIZE as u64, "hits move no bytes");
+    }
+
+    #[test]
+    fn sorted_batch_charges_sequential_for_adjacent() {
+        let dev = PageDevice::cold(DeviceKind::Hdd);
+        dev.read_sorted_batch(&[10, 11, 12, 40, 41]);
+        let s = dev.snapshot();
+        assert_eq!(s.random_reads, 2, "pages 10 and 40");
+        assert_eq!(s.seq_reads, 3, "pages 11, 12, 41");
+    }
+
+    #[test]
+    fn sorted_batch_skips_duplicates() {
+        let dev = PageDevice::cold(DeviceKind::Ssd);
+        dev.read_sorted_batch(&[5, 5, 5]);
+        assert_eq!(dev.snapshot().device_reads(), 1);
+    }
+
+    #[test]
+    fn prewarm_makes_reads_hits() {
+        let dev = lru_device(100, None);
+        dev.prewarm(0..50u64);
+        dev.read_random(25);
+        let s = dev.snapshot();
+        assert_eq!(s.random_reads, 0);
+        assert_eq!(s.cache_hits, 1);
+    }
+
+    #[test]
+    fn clones_share_stats() {
+        let dev = PageDevice::cold(DeviceKind::Memory);
+        let dev2 = dev.clone();
+        dev.read_random(1);
+        dev2.read_random(2);
+        assert_eq!(dev.snapshot().random_reads, 2);
+    }
+
+    #[test]
+    fn writes_are_charged() {
+        let dev = PageDevice::cold(DeviceKind::Ssd);
+        dev.write(3);
+        let s = dev.snapshot();
+        assert_eq!(s.writes, 1);
+        assert_eq!(s.bytes_written, PAGE_SIZE as u64);
+        assert_eq!(s.sim_ns, DeviceProfile::ssd().write_ns);
+    }
+
+    #[test]
+    fn write_installs_page_in_the_cache() {
+        let dev = lru_device(8, None);
+        dev.write(3);
+        dev.read_random(3);
+        let s = dev.snapshot();
+        assert_eq!(s.writes, 1);
+        assert_eq!(s.cache_hits, 1, "read-after-write is a hit");
+        assert_eq!(s.random_reads, 0, "the re-read never reached the device");
+    }
+
+    #[test]
+    fn write_installation_records_evictions_but_never_hits() {
+        let dev = lru_device(2, None);
+        dev.read_random(1);
+        dev.read_random(2);
+        dev.write(3); // admitting 3 evicts 1
+        let s = dev.snapshot();
+        assert_eq!(s.cache_evictions, 1);
+        assert_eq!(s.cache_hits, 0, "installation is not a served read");
+        dev.write(3); // already resident: refresh, no eviction
+        assert_eq!(dev.snapshot().cache_evictions, 1);
+    }
+
+    #[test]
+    fn cold_write_stays_cacheless() {
+        let dev = PageDevice::cold(DeviceKind::Ssd);
+        dev.write(3);
+        dev.read_random(3);
+        let s = dev.snapshot();
+        assert_eq!(s.cache_hits, 0);
+        assert_eq!(s.random_reads, 1, "cold devices never absorb");
+    }
+
+    #[test]
+    fn drop_caches_returns_to_cold_behaviour() {
+        let dev = lru_device(8, None);
+        dev.read_random(1);
+        dev.drop_caches();
+        dev.read_random(1);
+        assert_eq!(dev.snapshot().random_reads, 2);
+    }
+
+    #[test]
+    fn lru_device_counts_evictions() {
+        let dev = lru_device(2, None);
+        dev.read_random(1);
+        dev.read_random(2);
+        dev.read_random(3); // evicts 1
+        dev.read_random(1); // evicts 2
+        let s = dev.snapshot();
+        assert_eq!(s.cache_evictions, 2);
+        assert_eq!(s.cache_hits, 0);
+        assert_eq!(s.cache_hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn shared_cache_devices_compete_for_one_budget() {
+        let mgr = Arc::new(BufferManager::with_shards(
+            2 * PAGE_SIZE as u64,
+            PolicyKind::Lru,
+            1,
+        ));
+        let pool = |label| Some((Arc::clone(&mgr), mgr.register_pool(label)));
+        let index = PageDevice::new(DeviceProfile::ssd(), pool("index"), None);
+        let data = PageDevice::new(DeviceProfile::hdd(), pool("data"), None);
+        index.read_random(7);
+        data.read_random(7); // same page id, different pool: both resident
+        assert!(index.shared_cache().is_some());
+        index.read_random(7);
+        data.read_random(7);
+        assert_eq!(index.snapshot().cache_hits, 1);
+        assert_eq!(data.snapshot().cache_hits, 1);
+        // A third distinct page overflows the shared 2-page budget.
+        data.read_random(8);
+        assert_eq!(data.snapshot().cache_evictions, 1);
+        // Dropping one device's caches leaves the other pool resident.
+        index.drop_caches();
+        data.read_random(7);
+        assert_eq!(data.snapshot().cache_hits, 2, "data pool survived");
+    }
+
+    #[test]
+    fn quarantined_pages_bypass_the_cache_until_released() {
+        let dir = ScratchDir::new("backend-quarantine").unwrap();
+        let dev = lru_device(8, Some(store(&dir, "d")));
+        let q = dev.store().unwrap().quarantine();
+        let device_reads = || dev.snapshot().device_reads();
+        dev.read_random(1);
+        dev.read_random(1);
+        assert_eq!(device_reads(), 1, "cached while healthy");
+        q.quarantine(1);
+        assert!(dev.invalidate(1), "cached copy dropped on quarantine");
+        assert!(!dev.invalidate(1));
+        dev.read_random(1);
+        assert_eq!(device_reads(), 2, "quarantined reads reach the device");
+        dev.write(1); // install attempt must be refused
+        dev.read_random(1);
+        assert_eq!(device_reads(), 3, "still uncached while quarantined");
+        q.release(1);
+        dev.read_random(1); // re-admitted ...
+        dev.read_random(1);
+        assert_eq!(device_reads(), 4, "... and cached again after release");
+    }
+
+    #[test]
+    fn concurrent_charges_sum_exactly() {
+        let dev = PageDevice::cold(DeviceKind::Ssd);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let dev = dev.clone();
+                s.spawn(move || {
+                    for p in 0..5_000u64 {
+                        dev.read_random(t * 10_000 + p);
+                    }
+                });
+            }
+        });
+        assert_eq!(dev.snapshot().random_reads, 20_000, "no lost updates");
     }
 
     #[test]
     fn file_device_counts_match_sim_device_cold() {
         let dir = ScratchDir::new("backend-counts").unwrap();
         let sim = PageDevice::cold(DeviceKind::Ssd);
-        let file = PageDevice::File(file_dev(DeviceKind::Ssd, &dir, "d"));
+        let file = file_dev(DeviceKind::Ssd, &dir, "d");
         for dev in [&sim, &file] {
             dev.read_random(1);
             dev.read_random(1);
@@ -495,53 +638,52 @@ mod tests {
         dev.read_random(1);
         dev.write(2);
         dev.fsync();
-        let w = dev.wall();
+        let w = dev.wall().expect("file-backed");
         assert_eq!(w.reads, 2);
         assert_eq!(w.materialized, 1, "page 1 stamped once");
         assert_eq!(w.writes, 2, "materialization + explicit write");
         assert_eq!(w.syncs_issued, 1);
-        assert!(dev.store().contains(1) && dev.store().contains(2));
+        let store = dev.store().unwrap();
+        assert!(store.contains(1) && store.contains(2));
     }
 
     #[test]
     fn warm_file_device_only_hits_file_on_misses() {
         let dir = ScratchDir::new("backend-warm").unwrap();
-        let store =
-            Arc::new(FileStore::create(dir.path().join("d.bfs"), SyncPolicy::PerRequest).unwrap());
-        let dev = FileDevice::new(DeviceProfile::ssd(), CacheMode::Lru(8), store);
+        let dev = lru_device(8, Some(store(&dir, "d")));
         dev.read_random(1);
         dev.read_random(1);
         dev.read_random(1);
-        assert_eq!(dev.sim().snapshot().cache_hits, 2);
-        assert_eq!(dev.wall().reads, 1, "hits never reach the file");
+        assert_eq!(dev.snapshot().cache_hits, 2);
+        assert_eq!(dev.wall().unwrap().reads, 1, "hits never reach the file");
     }
 
     #[test]
     fn write_bytes_persists_payload_on_file_backend() {
         let dir = ScratchDir::new("backend-bytes").unwrap();
         let dev = file_dev(DeviceKind::Ssd, &dir, "log");
-        dev.write_bytes(0, b"log page zero");
-        assert_eq!(dev.store().read_page(0).unwrap(), b"log page zero");
-        // Sim variant books the same write without needing a store.
+        assert!(dev.write_bytes(0, b"log page zero"));
+        assert_eq!(dev.store().unwrap().read_page(0).unwrap(), b"log page zero");
+        // A storeless device books the same write.
         let sim = PageDevice::cold(DeviceKind::Ssd);
-        sim.write_bytes(0, b"log page zero");
-        assert_eq!(sim.snapshot().writes, 1);
+        assert!(sim.write_bytes(0, b"log page zero"));
+        assert_eq!(sim.snapshot(), dev.snapshot());
     }
 
     #[test]
     fn backend_selector_materializes_devices() {
         let dir = ScratchDir::new("backend-select").unwrap();
         let sim = Backend::Sim.device(DeviceKind::Ssd, "x").unwrap();
-        assert!(sim.file().is_none());
+        assert!(sim.store().is_none());
         let backend = Backend::file(dir.path());
         let dev = backend.device(DeviceKind::Ssd, "x").unwrap();
-        assert_eq!(dev.backend_label(), "file");
+        assert!(dev.store().is_some());
         let mem = backend.device(DeviceKind::Memory, "m").unwrap();
-        assert!(mem.file().is_none(), "memory devices stay simulated");
+        assert!(mem.store().is_none(), "memory devices stay simulated");
         // Reopening the same name finds the same store file.
         dev.write(5);
         drop(dev);
         let again = backend.device(DeviceKind::Ssd, "x").unwrap();
-        assert!(again.file().unwrap().store().contains(5));
+        assert!(again.store().unwrap().contains(5));
     }
 }

@@ -6,11 +6,10 @@ use std::sync::Arc;
 
 use bftree_bufferpool::{BufferManager, BufferStats, PolicyKind};
 
-use crate::backend::{Backend, FileDevice, PageDevice};
+use crate::backend::{Backend, PageDevice};
 use crate::device::{DeviceKind, DeviceProfile};
 use crate::file::DeviceError;
-use crate::page::PageId;
-use crate::sim::CacheMode;
+use crate::page::{PageId, PAGE_SIZE};
 
 /// One of the paper's index/data device placements.
 ///
@@ -86,11 +85,13 @@ impl std::fmt::Display for StorageConfig {
     }
 }
 
-/// The pair of simulated devices a query charges against: one holding
-/// index nodes, one holding the heap file. Optionally the index device
-/// carries an LRU [`crate::BufferPool`] (warm-cache experiments).
+/// The pair of devices a query charges against: one holding index
+/// nodes, one holding the heap file. Their caches, if any, are pools
+/// of a [`BufferManager`]: one budget shared by both devices
+/// ([`IoContext::with_shared_budget`]), or a private one-shard LRU on
+/// the index device ([`IoContext::warm`]).
 ///
-/// Cloning is cheap and shares both devices' stats and pools. An
+/// Cloning is cheap and shares both devices' stats and caches. An
 /// `IoContext` may be charged from many threads at once: cold devices
 /// (the default) record into sharded lock-free counters, so a shared
 /// `&IoContext` is the natural argument of a multi-threaded probe
@@ -116,11 +117,8 @@ pub struct IoContext {
 }
 
 impl IoContext {
-    /// An explicit device pair ([`crate::SimDevice`]s and
-    /// [`FileDevice`]s both convert into [`PageDevice`]).
-    pub fn new(index: impl Into<PageDevice>, data: impl Into<PageDevice>) -> Self {
-        let index = index.into();
-        let data = data.into();
+    /// An explicit device pair.
+    pub fn new(index: PageDevice, data: PageDevice) -> Self {
         let manager = index
             .shared_cache()
             .or_else(|| data.shared_cache())
@@ -182,27 +180,7 @@ impl IoContext {
         policy: PolicyKind,
     ) -> Result<Self, DeviceError> {
         let manager = Arc::new(BufferManager::new(budget_bytes, policy));
-        let device = |kind: DeviceKind, label: &str| -> Result<PageDevice, DeviceError> {
-            if kind == DeviceKind::Memory {
-                return Ok(PageDevice::cold(kind));
-            }
-            let profile = DeviceProfile::of(kind);
-            let pool = manager.register_pool(label);
-            Ok(match backend.store_for(label)? {
-                None => PageDevice::with_shared_cache(profile, Arc::clone(&manager), pool),
-                Some(store) => PageDevice::File(FileDevice::with_shared_cache(
-                    profile,
-                    Arc::clone(&manager),
-                    pool,
-                    store,
-                )),
-            })
-        };
-        Ok(Self {
-            index: device(config.index_kind(), "index")?,
-            data: device(config.data_kind(), "data")?,
-            manager: Some(manager),
-        })
+        Self::on_manager(backend, config, manager, "index", "data")
     }
 
     /// Devices for `config` whose caches live in an **existing**
@@ -222,26 +200,29 @@ impl IoContext {
         manager: &Arc<BufferManager>,
         label: &str,
     ) -> Result<Self, DeviceError> {
-        let device = |kind: DeviceKind, name: &str| -> Result<PageDevice, DeviceError> {
-            if kind == DeviceKind::Memory {
-                return Ok(PageDevice::cold(kind));
-            }
-            let profile = DeviceProfile::of(kind);
-            let pool = manager.register_pool(name);
-            Ok(match backend.store_for(name)? {
-                None => PageDevice::with_shared_cache(profile, Arc::clone(manager), pool),
-                Some(store) => PageDevice::File(FileDevice::with_shared_cache(
-                    profile,
-                    Arc::clone(manager),
-                    pool,
-                    store,
-                )),
-            })
-        };
+        Self::on_manager(
+            backend,
+            config,
+            Arc::clone(manager),
+            &format!("{label}-index"),
+            &format!("{label}-data"),
+        )
+    }
+
+    /// Both devices of `config` caching in pools of `manager`, with
+    /// stores (on a file backend) named after the pools. Memory-kind
+    /// devices stay uncached and storeless.
+    fn on_manager(
+        backend: &Backend,
+        config: StorageConfig,
+        manager: Arc<BufferManager>,
+        index: &str,
+        data: &str,
+    ) -> Result<Self, DeviceError> {
         Ok(Self {
-            index: device(config.index_kind(), &format!("{label}-index"))?,
-            data: device(config.data_kind(), &format!("{label}-data"))?,
-            manager: Some(Arc::clone(manager)),
+            index: backend.cached_device(config.index_kind(), index, Some(&manager))?,
+            data: backend.cached_device(config.data_kind(), data, Some(&manager))?,
+            manager: Some(manager),
         })
     }
 
@@ -274,17 +255,23 @@ impl IoContext {
     }
 
     /// Warm-cache devices (§6.2 "Warm caches"): the index device gets
-    /// an LRU pool sized to hold everything *above* the leaf level —
-    /// callers prewarm it with the index's upper-node page ids, so
-    /// "only accessing the leaf node would cause an I/O operation".
-    /// The data device stays cold (the experiments' probe keys are
-    /// random, so data re-reads are negligible and the paper's bars
-    /// move only through the index component).
+    /// a private strict-LRU cache (a one-shard [`BufferManager`]) sized
+    /// to hold everything *above* the leaf level — callers prewarm it
+    /// with the index's upper-node page ids, so "only accessing the
+    /// leaf node would cause an I/O operation". The data device stays
+    /// cold (the experiments' probe keys are random, so data re-reads
+    /// are negligible and the paper's bars move only through the index
+    /// component). No budget is shared, so the context reports no
+    /// buffer manager.
     pub fn warm(config: StorageConfig, upper_pages: usize) -> Self {
+        let budget = (upper_pages.max(1) * PAGE_SIZE) as u64;
+        let manager = Arc::new(BufferManager::with_shards(budget, PolicyKind::Lru, 1));
+        let pool = manager.register_pool("index");
         Self {
             index: PageDevice::new(
                 DeviceProfile::of(config.index_kind()),
-                CacheMode::Lru(upper_pages.max(1)),
+                Some((manager, pool)),
+                None,
             ),
             data: PageDevice::cold(config.data_kind()),
             manager: None,
@@ -335,8 +322,8 @@ impl bftree_obs::MetricSource for IoContext {
             reg.collect_from(manager.as_ref());
         }
         for (label, device) in [("index", &self.index), ("data", &self.data)] {
-            if let PageDevice::File(f) = device {
-                f.store().register_metrics(reg, label);
+            if let Some(store) = device.store() {
+                store.register_metrics(reg, label);
             }
         }
     }
@@ -417,8 +404,7 @@ mod tests {
     #[test]
     fn shared_budget_leaves_memory_devices_uncached() {
         let io = IoContext::with_shared_budget(StorageConfig::MemSsd, 1 << 20, PolicyKind::Clock);
-        assert!(io.index.is_lock_free(), "memory index stays cold");
-        assert!(io.index.shared_cache().is_none());
+        assert!(io.index.shared_cache().is_none(), "memory index stays cold");
         assert!(io.data.shared_cache().is_some());
     }
 

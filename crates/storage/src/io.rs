@@ -29,9 +29,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// operation to get that operation's simulated latency:
 ///
 /// ```
-/// use bftree_storage::{thread_sim_ns, DeviceKind, SimDevice};
+/// use bftree_storage::{thread_sim_ns, DeviceKind, PageDevice};
 ///
-/// let dev = SimDevice::cold(DeviceKind::Ssd);
+/// let dev = PageDevice::cold(DeviceKind::Ssd);
 /// let before = thread_sim_ns();
 /// dev.read_random(7);
 /// let latency_ns = thread_sim_ns() - before;

@@ -14,23 +14,15 @@
 //! * [`device`] — latency models for Memory / SSD / HDD plus the
 //!   Figure 2 device survey.
 //! * [`io`] — I/O accounting: operation counters and a simulated clock.
-//! * [`sim`] — [`sim::SimDevice`]: a device profile + stats + optional
-//!   buffer pool, the thing indexes charge their accesses to. Its warm
-//!   path is either a private per-device LRU ([`sim::CacheMode::Lru`])
-//!   or one pool of a shared, sharded [`BufferManager`] whose byte
-//!   budget all devices compete for
-//!   ([`context::IoContext::with_shared_budget`]).
-//! * [`buffer`] — a byte-denominated LRU buffer pool, the per-device
-//!   compatibility mode of the warm-cache experiments.
 //! * [`relation`] — [`relation::Relation`]: heap file + indexed
 //!   attribute + duplicate layout, the handle access methods build on.
 //! * [`context`] — [`context::IoContext`]: the index/data device pair a
 //!   query charges, and the paper's five [`context::StorageConfig`]s.
-//! * [`backend`] — [`backend::PageDevice`]: the pluggable device front.
-//!   Every layer charges a `PageDevice`; the [`backend::Backend`]
-//!   selector decides whether that is the pure simulator or a
-//!   [`backend::FileDevice`] that mirrors every device-reaching access
-//!   with real, checksum-verified file I/O.
+//! * [`backend`] — [`backend::PageDevice`], the one device type every
+//!   layer charges: a latency profile and stats, an optional cache (a
+//!   pool of a [`BufferManager`]) and an optional [`file::FileStore`]
+//!   that mirrors device-reaching accesses with real, checksum-verified
+//!   I/O. [`backend::Backend`] decides whether devices get a store.
 //! * [`mod@file`] — [`file::FileStore`]: the byte-hitting page store
 //!   (CRC-32 page headers, persistent free list, batched fsync,
 //!   wall-clock counters) behind the file backend.
@@ -50,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod buffer;
 pub mod context;
 pub mod device;
 pub mod fault;
@@ -61,12 +52,10 @@ pub mod page;
 pub mod relation;
 pub mod scrub;
 pub mod search;
-pub mod sim;
 pub mod tuple;
 
-pub use backend::{Backend, FileDevice, PageDevice};
+pub use backend::{Backend, PageDevice};
 pub use bftree_bufferpool::{BufferManager, BufferStats, PolicyKind, PoolId};
-pub use buffer::{BufferPool, PoolAccess};
 pub use context::{IoContext, StorageConfig};
 pub use device::{DeviceKind, DeviceProfile};
 pub use fault::{
@@ -82,5 +71,4 @@ pub use page::{PageId, PAGE_SIZE};
 pub use relation::{Duplicates, Relation, RelationError, SharedRelation};
 pub use scrub::{ScrubReport, Scrubber};
 pub use search::{binary_search, interpolation_search, SearchResult};
-pub use sim::{CacheMode, SimDevice};
 pub use tuple::TupleLayout;

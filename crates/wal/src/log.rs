@@ -71,11 +71,11 @@ impl Wal {
     /// `tuple_count` heap tuples, everything after is replayed from
     /// here. A log whose creation was never durable cannot promise
     /// anything, so genesis ignores the durability mode.
-    pub fn open(device: impl Into<PageDevice>, mode: DurabilityMode, tuple_count: u64) -> Self {
+    pub fn open(device: PageDevice, mode: DurabilityMode, tuple_count: u64) -> Self {
         let mut wal = Self {
             buf: Vec::new(),
             mode,
-            device: device.into(),
+            device,
             synced_len: 0,
             pending_records: 0,
             records: 0,
@@ -221,10 +221,10 @@ impl Wal {
     /// contract survives real on-disk corruption. Returns `None` on
     /// simulated devices (which persist no bytes).
     pub fn load_image(device: &PageDevice) -> Option<Vec<u8>> {
-        let file = device.file()?;
+        let store = device.store()?;
         let mut image = Vec::new();
         let mut page: PageId = 0;
-        while let Ok(payload) = file.store().read_page(page) {
+        while let Ok(payload) = store.read_page(page) {
             image.extend_from_slice(&payload);
             page += 1;
         }
@@ -245,8 +245,7 @@ impl Wal {
     /// longest valid prefix — exactly the prefix a crash would have
     /// left. Returns `None` on simulated devices.
     pub fn repair_image(device: &PageDevice) -> Option<WalRepairOutcome> {
-        let file = device.file()?;
-        let store = file.store();
+        let store = device.store()?;
         let mut image = Vec::new();
         let mut page: PageId = 0;
         let mut corrupt_from: Option<PageId> = None;
@@ -270,7 +269,7 @@ impl Wal {
         if let Some(first_bad) = corrupt_from {
             let mut span = bftree_obs::span(bftree_obs::SpanKind::Repair);
             let mut p = first_bad;
-            while file.store().contains(p) {
+            while store.contains(p) {
                 if store.repair_page(p, Some(&[])).is_ok() {
                     repaired_pages += 1;
                 }

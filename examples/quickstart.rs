@@ -11,7 +11,7 @@ use bftree_access::{DurableConfig, DurableIndex, RangeCursor, RangeCursorExt};
 use bftree_btree::{BPlusTree, BTreeConfig};
 use bftree_storage::tuple::PK_OFFSET;
 use bftree_storage::{
-    DeviceKind, Duplicates, HeapFile, IoContext, Relation, SimDevice, TupleLayout,
+    DeviceKind, Duplicates, HeapFile, IoContext, PageDevice, Relation, TupleLayout,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -107,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut durable = DurableIndex::new(
         tree,
         &relation,
-        SimDevice::cold(DeviceKind::Ssd),
+        PageDevice::cold(DeviceKind::Ssd),
         DurableConfig::default(),
     );
     let key = 1_000_000u64;

@@ -7,9 +7,8 @@
 //!    eviction order per policy (and the three policies demonstrably
 //!    differ on a hot-set + scan pattern).
 //! 2. **Per-device baseline** — a device whose warm path goes through
-//!    a single-shard shared manager must be bit-identical (every
-//!    `IoStats` counter, every simulated nanosecond) to the old
-//!    private per-device LRU pool.
+//!    a single-shard manager must match a naive strict-LRU model in
+//!    every cache counter, device read and simulated nanosecond.
 //! 3. **Concurrency** — probe results and I/O totals through the
 //!    shared manager from 8 threads must match a single-threaded run
 //!    of the same streams when the working set fits (no evictions →
@@ -23,7 +22,7 @@ use bftree_bench::{build_index, run_probes, run_probes_parallel, IndexKind};
 use bftree_bufferpool::{Access, BufferManager, PolicyKind};
 use bftree_storage::tuple::PK_OFFSET;
 use bftree_storage::{
-    CacheMode, DeviceKind, DeviceProfile, Duplicates, HeapFile, IoContext, Relation, SimDevice,
+    DeviceKind, DeviceProfile, Duplicates, HeapFile, IoContext, PageDevice, Relation,
     StorageConfig, TupleLayout, PAGE_SIZE,
 };
 use bftree_workloads::{popular_probe_streams, KeyPopularity};
@@ -96,33 +95,53 @@ fn golden_lru_order_is_strict() {
     assert_eq!(eviction_order(PolicyKind::Lru, 3, &accesses), vec![1, 3, 2]);
 }
 
-/// The shared manager in single-shard LRU mode must be I/O-identical
-/// to the old private per-device pool — same hits, same evictions,
+/// A device caching in a single-shard LRU manager (the warm-cache
+/// device of `IoContext::warm`) must be I/O-identical to a naive
+/// strict-LRU model — same hits, same evictions, same device reads,
 /// same simulated nanoseconds — across an eviction-heavy workload.
 #[test]
 fn shared_manager_matches_private_device_baseline() {
     let pool_pages = 64usize;
-    let private = SimDevice::new(DeviceProfile::ssd(), CacheMode::Lru(pool_pages));
     let mgr = Arc::new(BufferManager::with_shards(
         pool_pages as u64 * PAGE,
         PolicyKind::Lru,
         1,
     ));
     let pool = mgr.register_pool("data");
-    let shared = SimDevice::with_shared_cache(DeviceProfile::ssd(), Arc::clone(&mgr), pool);
+    let device = PageDevice::new(DeviceProfile::ssd(), Some((mgr, pool)), None);
 
+    // Model: resident pages, least recently used first.
+    let mut lru: Vec<u64> = Vec::with_capacity(pool_pages);
+    let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
     let mut state = 0xDEAD_BEEFu64;
     for _ in 0..50_000 {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         let page = (state >> 33) % 256; // 4x the pool: constant eviction
-        private.read_random(page);
-        shared.read_random(page);
+        device.read_random(page);
+        if let Some(pos) = lru.iter().position(|&p| p == page) {
+            lru.remove(pos);
+            hits += 1;
+        } else {
+            if lru.len() == pool_pages {
+                lru.remove(0);
+                evictions += 1;
+            }
+            misses += 1;
+        }
+        lru.push(page);
     }
-    let (a, b) = (private.snapshot(), shared.snapshot());
-    assert_eq!(a, b, "shared manager drifted from the per-device LRU");
-    assert!(a.cache_hits > 0 && a.cache_evictions > 0, "workload warmed");
+    let s = device.snapshot();
+    assert_eq!(s.cache_hits, hits, "hits drifted from strict LRU");
+    assert_eq!(s.cache_evictions, evictions, "evictions drifted");
+    assert_eq!(s.random_reads, misses, "only misses reach the device");
+    assert_eq!(
+        s.sim_ns,
+        hits * DeviceProfile::memory().random_read_ns
+            + misses * DeviceProfile::ssd().random_read_ns
+    );
+    assert!(hits > 0 && evictions > 0, "workload warmed");
 }
 
 /// With a budget large enough that nothing is ever evicted, hit/miss
@@ -219,10 +238,9 @@ fn concurrent_pressure_counters_survive_replay() {
     }
 }
 
-/// `CacheMode::Lru` still composes with prewarming through the shared
-/// path: an `IoContext::with_shared_budget` index device prewarmed
-/// with the upper levels absorbs descents exactly like the old warm
-/// mode.
+/// Prewarming composes with a shared budget: an
+/// `IoContext::with_shared_budget` index device prewarmed with the
+/// upper levels absorbs descents exactly like `IoContext::warm`.
 #[test]
 fn prewarmed_shared_context_absorbs_upper_levels() {
     let io = IoContext::with_shared_budget(StorageConfig::SsdHdd, 1 << 22, PolicyKind::TwoQ);
@@ -241,7 +259,7 @@ fn prewarmed_shared_context_absorbs_upper_levels() {
 #[test]
 fn memory_index_device_stays_uncached_under_shared_budget() {
     let io = IoContext::with_shared_budget(StorageConfig::MemSsd, 1 << 20, PolicyKind::Lru);
-    assert!(io.index.is_lock_free());
+    assert!(io.index.shared_cache().is_none());
     io.index.read_random(1);
     io.index.read_random(1);
     assert_eq!(io.index.snapshot().cache_hits, 0);
@@ -267,7 +285,7 @@ fn durable_memtable_reserves_from_the_shared_budget() {
     let index = DurableIndex::new(
         inner,
         &rel,
-        SimDevice::cold(DeviceKind::Ssd),
+        PageDevice::cold(DeviceKind::Ssd),
         DurableConfig {
             flush_batch: 256,
             durability: DurabilityMode::GroupCommit {

@@ -209,7 +209,7 @@ fn recovery_over_a_damaged_file_log_truncates_to_the_longest_valid_prefix() {
     // Flip a byte in a middle log page (wal pages fill slots in
     // order, so page id == slot).
     let mid = (pages / 2) as u64;
-    let store = log.file().expect("file-backed").store();
+    let store = log.store().expect("file-backed");
     damage(
         store.path(),
         slot_offset(mid) + PAGE_HEADER as u64 + 33,

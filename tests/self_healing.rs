@@ -17,9 +17,10 @@ use bftree_access::{DurableConfig, DurableIndex};
 use bftree_bench::{build_index, IndexKind};
 use bftree_storage::tuple::PK_OFFSET;
 use bftree_storage::{
-    Backend, CacheMode, DeviceKind, DeviceProfile, Duplicates, FaultConfig, FaultInjector,
-    FaultKind, FileDevice, FileStore, HeapFile, IoContext, IoOutcome, Relation, RetryPolicy,
-    ScheduledFault, ScratchDir, Scrubber, StorageConfig, SyncPolicy, TupleLayout,
+    Backend, BufferManager, DeviceKind, DeviceProfile, Duplicates, FaultConfig, FaultInjector,
+    FaultKind, FileStore, HeapFile, IoContext, IoOutcome, PageDevice, PolicyKind, Relation,
+    RetryPolicy, ScheduledFault, ScratchDir, Scrubber, StorageConfig, SyncPolicy, TupleLayout,
+    PAGE_SIZE,
 };
 use bftree_wal::{DurabilityMode, Wal, WalReader, WalRecord};
 
@@ -123,10 +124,16 @@ fn bit_rot_quarantines_and_is_never_recached_until_repair() {
     let store = fresh_store(&dir, "d.bfs");
     // A caching device: clean re-reads must be absorbed, so the "never
     // re-cached while quarantined" property is observable.
-    let device = FileDevice::new(
+    let cache = Arc::new(BufferManager::with_shards(
+        16 * PAGE_SIZE as u64,
+        PolicyKind::Lru,
+        1,
+    ));
+    let pool = cache.register_pool("d");
+    let device = PageDevice::new(
         DeviceProfile::of(DeviceKind::Ssd),
-        CacheMode::Lru(16),
-        Arc::clone(&store),
+        Some((cache, pool)),
+        Some(Arc::clone(&store)),
     );
 
     device.read_random(5); // materialize + cache
@@ -208,7 +215,7 @@ fn a_corrupt_wal_page_repairs_to_the_longest_valid_prefix() {
         });
     }
     let full = wal.bytes().to_vec();
-    let store = log.file().expect("file-backed").store();
+    let store = log.store().expect("file-backed");
     let pages = store.live_page_ids();
     assert!(pages.len() >= 3, "the log must span several pages");
     let mid = pages[pages.len() / 2];
@@ -269,7 +276,7 @@ fn degraded_probes_name_their_losses_and_heal_after_repair() {
         },
     );
     let io = IoContext::cold_on(&backend, StorageConfig::SsdSsd).expect("file devices");
-    let data = Arc::clone(io.data.file().expect("file-backed data").store());
+    let data = Arc::clone(io.data.store().expect("file-backed data"));
 
     let key = 123;
     let healthy = index.probe_degraded(key, &rel, &io).expect("probe");
